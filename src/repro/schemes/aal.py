@@ -15,14 +15,16 @@ optimizers; its handicaps are the uniform stripe, the homogeneous
 server model, and (like HARL) the average-request-size search bound.
 The winning stripe is applied identically to all servers.
 
-Determinism contract: building an AAL layout is a pure function of the
-``(spec, trace)`` inputs.  Traces longer than ``max_eval_requests`` are
-subsampled before the stripe search, and that subsample is drawn from
+The search reads the trace's columns and scores every candidate stripe
+in chunked :func:`~repro.core.cost_model.burst_costs_grid` passes, the
+kernel and memory budget MHA and HARL search with; ``np.argmin`` keeps
+the first (smallest) of tied stripes.
+
+Determinism contract: a build is a pure function of ``(spec, trace)``.
+Traces longer than ``max_eval_requests`` are subsampled with
 ``derive_rng(SeedDomain.SAMPLE, base=DEFAULT_SAMPLE_SEED)`` — the
-central lineage registry of :mod:`repro.determinism`, never an
-unseeded or inline-literal-seeded RNG — so repeated builds over the
-same trace pick the same requests and land on the same stripe.
-repro-lint's RL001 and RL201 rules enforce this contract mechanically.
+lineage registry of :mod:`repro.determinism` — so repeated builds pick
+the same requests and the same stripe (repro-lint RL001/RL201).
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ import numpy as np
 
 from ..cluster import ClusterSpec
 from ..config import DEFAULT_SAMPLE_SEED
-from ..core.cost_model import burst_costs
-from ..determinism import SeedDomain, derive_rng
+from ..core.cost_model import burst_costs_grid
+from ..core.determinator import GRID_CHUNK_ELEMS
 from ..core.params import CostModelParams
-from ..tracing.analysis import burst_ids_of
+from ..determinism import SeedDomain, derive_rng
+from ..layouts.base import Layout
 from ..layouts.fixed import FixedStripeLayout
+from ..tracing.columnar import ColumnarTrace, as_columnar_trace, burst_ids_columnar
 from ..tracing.record import Trace
 from ..units import KiB
 from .base import LayoutView, Scheme
@@ -71,40 +75,40 @@ class AALScheme(Scheme):
             beta_sw=0.0,
         )
 
-    def stripe_for(self, spec: ClusterSpec, trace: Trace) -> int:
+    def stripe_for(self, spec: ClusterSpec, trace: Trace | ColumnarTrace) -> int:
         """The cost-minimizing uniform stripe for one file's trace."""
         if len(trace) == 0:
             return DEFAULT_STRIPE
         params = self._homogeneous_params(spec)
-        burst_map = burst_ids_of(trace)
-        offsets = np.array([r.offset for r in trace], dtype=np.int64)
-        lengths = np.array([r.size for r in trace], dtype=np.int64)
-        is_read = np.array([r.op == "read" for r in trace], dtype=bool)
-        bursts = np.array([burst_map[r] for r in trace], dtype=np.int64)
-        if len(trace) > self.max_eval_requests:
+        col = as_columnar_trace(trace)
+        offsets, lengths = col.data["offset"], col.data["size"]
+        is_read = col.data["op"] == 0  # op code 0 is "read" (OP_NAMES)
+        bursts = burst_ids_columnar(col)
+        if len(col) > self.max_eval_requests:
             rng = derive_rng(SeedDomain.SAMPLE, base=DEFAULT_SAMPLE_SEED)
-            pick = rng.choice(len(trace), size=self.max_eval_requests, replace=False)
+            pick = rng.choice(len(col), size=self.max_eval_requests, replace=False)
             offsets, lengths, is_read, bursts = (
                 offsets[pick], lengths[pick], is_read[pick], bursts[pick],
             )
         # like HARL, the prior-generation schemes bound their stripe
         # search by the average request size (§III-F)
-        best_stripe, best_cost = DEFAULT_STRIPE, np.inf
         upper = max(self.step, int(lengths.mean()))
-        for stripe in range(self.step, upper + self.step, self.step):
-            cost = burst_costs(
-                params, offsets, lengths, is_read, bursts, stripe, 0
-            ).sum()
-            if cost < best_cost:
-                best_cost, best_stripe = cost, stripe
-        return best_stripe
+        stripes = np.arange(self.step, upper + self.step, self.step, dtype=np.int64)
+        costs = np.empty(stripes.size, dtype=np.float64)
+        chunk = max(1, GRID_CHUNK_ELEMS // (offsets.size * params.M))
+        for lo in range(0, stripes.size, chunk):
+            part = stripes[lo : lo + chunk]
+            costs[lo : lo + chunk] = burst_costs_grid(
+                params, offsets, lengths, is_read, bursts, part, np.zeros_like(part)
+            ).sum(axis=1)
+        return int(stripes[np.argmin(costs)])
 
-    def build(self, spec: ClusterSpec, trace: Trace) -> LayoutView:
-        layouts = {}
+    def build(self, spec: ClusterSpec, trace: Trace | ColumnarTrace) -> LayoutView:
+        col = as_columnar_trace(trace)
+        layouts: dict[str, Layout] = {}
         self.decisions = {}
-        for file in trace.files():
-            sub = trace.for_file(file)
-            stripe = self.stripe_for(spec, sub)
+        for file, indices in col.file_partition().items():
+            stripe = self.stripe_for(spec, col.take(indices))
             self.decisions[file] = stripe
             layouts[file] = FixedStripeLayout(spec.server_ids, stripe, obj=file)
         default = FixedStripeLayout(spec.server_ids, DEFAULT_STRIPE, obj="file")

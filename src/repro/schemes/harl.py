@@ -19,10 +19,12 @@ Fidelity notes:
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from ..cluster import ClusterSpec
-from ..core.determinator import DEFAULT_STEP, region_search_task
+from ..core.determinator import DEFAULT_STEP, RegionSearchTask, region_search_task
 from ..core.parallel import parallel_map
 from ..core.params import CostModelParams
 from ..core.rst import StripePair
@@ -30,7 +32,11 @@ from ..layouts.base import Layout
 from ..layouts.fixed import FixedStripeLayout
 from ..layouts.region import Region, RegionLayout
 from ..layouts.varied import VariedStripeLayout
-from ..tracing.analysis import burst_ids_of, concurrency_of
+from ..tracing.columnar import (
+    ColumnarTrace,
+    as_columnar_trace,
+    concurrency_and_burst_ids,
+)
 from ..tracing.record import Trace
 from ..units import KiB
 from .base import LayoutView, Scheme
@@ -61,6 +67,8 @@ class HARLScheme(Scheme):
         self.seed = seed
         self.n_jobs = n_jobs
         self.engine = engine
+        #: per-region stripe pairs of the last build
+        self.decisions: dict[str, StripePair] = {}
 
     def _region_bounds(
         self, extent_end: int, max_request: int = 0
@@ -86,71 +94,49 @@ class HARLScheme(Scheme):
         bounds.append((start, max(extent_end, start + size)))
         return bounds
 
-    def _region_task(
-        self,
-        params: CostModelParams,
-        trace: Trace,
-        conc_map: dict,
-        burst_map: dict,
-        start: int,
-        end: int,
-    ) -> tuple | None:
-        """One region's search task, or ``None`` for an untouched region."""
-        # requests clipped to the region, in region-local coordinates
-        offsets, lengths, is_read, conc, bursts = [], [], [], [], []
-        for idx, record in enumerate(trace):
-            lo = max(record.offset, start)
-            hi = min(record.end, end)
-            if lo < hi:
-                offsets.append(lo - start)
-                lengths.append(hi - lo)
-                is_read.append(record.op == "read")
-                conc.append(conc_map.get(record, 1))
-                bursts.append(burst_map.get(record, -(idx + 1)))
-        if not offsets:
-            return None
-        return (
-            params,
-            np.array(offsets, dtype=np.int64),
-            np.array(lengths, dtype=np.int64),
-            np.array(is_read, dtype=bool),
-            np.array(conc, dtype=np.int64),
-            np.array(bursts, dtype=np.int64),
-            dict(
-                step=self.step,
-                bound_policy="average",
-                max_eval_requests=self.max_eval_requests,
-                seed=self.seed,
-                engine=self.engine,
-            ),
-        )
-
-    def build(self, spec: ClusterSpec, trace: Trace) -> LayoutView:
+    def build(self, spec: ClusterSpec, trace: Trace | ColumnarTrace) -> LayoutView:
         params = CostModelParams.from_cluster(spec)
-        self.decisions: dict[str, StripePair] = {}
-        # phase 1: clip requests into regions, collecting one search
+        search_kwargs: dict[str, Any] = dict(
+            step=self.step,
+            bound_policy="average",
+            max_eval_requests=self.max_eval_requests,
+            seed=self.seed,
+            engine=self.engine,
+        )
+        col = as_columnar_trace(trace)
+        self.decisions = {}
+        # phase 1: clip each file's offset-sorted requests into its
+        # regions (in region-local coordinates), collecting one search
         # task per touched region across every file
         file_regions: dict[str, list[tuple[int, int, str, int | None]]] = {}
-        tasks: list[tuple] = []
+        tasks: list[RegionSearchTask] = []
         labels: list[str] = []
-        for file in trace.files():
-            sub = trace.for_file(file).sorted_by_offset()
-            conc_map = concurrency_of(sub)
-            burst_map = burst_ids_of(sub)
-            _, extent_end = sub.extent()
-            bounds = self._region_bounds(extent_end, sub.max_size())
+        for file, indices in col.file_partition().items():
+            sub = col.take(indices).sorted_by_offset()
+            conc, bursts = concurrency_and_burst_ids(sub)
+            offsets = sub.data["offset"]
+            ends = offsets + sub.data["size"]
+            is_read = sub.data["op"] == 0  # op code 0 is "read" (OP_NAMES)
+            bounds = self._region_bounds(sub.extent()[1], sub.max_size())
             entries: list[tuple[int, int, str, int | None]] = []
             for idx, (start, end) in enumerate(bounds):
                 obj = f"{file}/r{idx}"
-                task = self._region_task(
-                    params, sub, conc_map, burst_map, start, end
-                )
-                if task is None:
+                lo, hi = np.maximum(offsets, start), np.minimum(ends, end)
+                inside = lo < hi
+                if not inside.any():
                     entries.append((start, end, obj, None))
-                else:
-                    entries.append((start, end, obj, len(tasks)))
-                    tasks.append(task)
-                    labels.append(obj)
+                    continue
+                entries.append((start, end, obj, len(tasks)))
+                tasks.append((
+                    params,
+                    lo[inside] - start,
+                    hi[inside] - lo[inside],
+                    is_read[inside],
+                    conc[inside],
+                    bursts[inside],
+                    search_kwargs,
+                ))
+                labels.append(obj)
             file_regions[file] = entries
 
         # phase 2: all region searches are independent — run them on
@@ -162,7 +148,7 @@ class HARLScheme(Scheme):
         # phase 3: assemble the per-file region layouts in order
         layouts: dict[str, Layout] = {}
         for file, entries in file_regions.items():
-            regions = []
+            regions: list[Region] = []
             for start, end, obj, task_idx in entries:
                 if task_idx is None:
                     # untouched region: keep the PFS default
