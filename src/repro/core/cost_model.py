@@ -50,7 +50,7 @@ from ..devices.base import READ, WRITE
 from ..layouts.extents import (
     max_server_bytes_grid,
     per_server_bytes_batch,
-    per_server_bytes_grid,
+    server_byte_counts,
 )
 from .params import CostModelParams
 
@@ -203,32 +203,27 @@ def burst_costs(
     is_read = np.asarray(is_read, dtype=bool)
     burst_ids = np.asarray(burst_ids)
     h_eff, s_eff = _effective_stripes(params, h, s)
-    h_bytes, s_bytes = per_server_bytes_batch(
-        offsets, lengths, params.M, params.N, h_eff, s_eff
-    )
     _, inverse = np.unique(burst_ids, return_inverse=True)
     B = int(inverse.max()) + 1 if inverse.size else 0
     lam = params.net_latency
     worst = np.zeros(B, dtype=np.float64)
     if B == 0:
         return worst
-    # stable order by burst id; traces whose requests already arrive
-    # burst-grouped (the common case after the determinator pre-sorts)
-    # skip the gather copies entirely
-    if np.all(inverse[:-1] <= inverse[1:]):
-        sorted_already = True
-        sorted_inverse = inverse
-    else:
-        sorted_already = False
+    # stable order by burst id; requests that already arrive
+    # burst-grouped (the determinator pre-sorts) skip the gather
+    if not np.all(inverse[:-1] <= inverse[1:]):
         order = np.argsort(inverse, kind="stable")
-        sorted_inverse = inverse[order]
+        offsets, lengths, is_read, inverse = (
+            offsets[order], lengths[order], is_read[order], inverse[order],
+        )
     # np.unique guarantees every id in [0, B) occurs, so each segment
     # start exists and reduceat sees B non-empty segments
-    seg_starts = np.searchsorted(sorted_inverse, np.arange(B))
+    seg_starts = np.searchsorted(inverse, np.arange(B))
+    h_bytes, s_bytes = per_server_bytes_batch(
+        offsets, lengths, params.M, params.N, h_eff, s_eff
+    )
 
     def segment_sum(vals: np.ndarray) -> np.ndarray:
-        if not sorted_already:
-            vals = vals[order]
         return np.add.reduceat(vals, seg_starts, axis=0)
 
     if params.M > 0 and h_eff > 0:
@@ -269,8 +264,9 @@ def batch_costs_grid(
     broadcast axis, so the vectorized RSSD search selects exactly the
     pair the scalar search would.
 
-    Memory is ``O(G * K * (M + N))`` floats; callers evaluating large
-    grids should chunk over the candidate axis (the determinator does).
+    Temporaries are ``O(G * K)`` — :func:`max_server_bytes_grid` folds
+    the servers — and callers evaluating large grids should chunk over
+    the candidate axis (the determinator does).
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -363,14 +359,15 @@ def burst_costs_grid(
     """:func:`burst_costs` broadcast over ``G`` candidate pairs at once.
 
     Returns shape ``(G, B)`` — row ``g`` is bit-identical to
-    ``burst_costs(params, ..., h_arr[g], s_arr[g])``.  The scalar
-    path's ``np.add.at`` scatter becomes a stable sort by burst id plus
-    ``np.add.reduceat`` along the request axis: within a burst the
-    requests keep their original order, and both primitives accumulate
-    strictly left to right, so the per-server sums are the same floats.
-
-    Memory is ``O(G * K * (M + N))``; chunk over candidates for large
-    grids.
+    ``burst_costs(params, ..., h_arr[g], s_arr[g])``.  Servers are
+    folded one at a time: each server's ``(G, K)`` byte counts from
+    :func:`~repro.layouts.extents.server_byte_counts` are summed per
+    burst with ``np.add.reduceat`` over the burst-sorted requests
+    (strictly left to right, like the scalar path; skipped when every
+    burst is a singleton), and the server's ``(G, B)`` time is folded
+    into a running maximum, which is exact in any order.  Temporaries
+    are ``O(G * K)``; rows are independent, so callers may chunk over
+    candidates freely (the determinator does).
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -378,8 +375,6 @@ def burst_costs_grid(
     burst_ids = np.asarray(burst_ids)
     h_arr = np.asarray(h_arr, dtype=np.int64)
     s_arr = np.asarray(s_arr, dtype=np.int64)
-    h_eff = h_arr if params.M > 0 else np.zeros_like(h_arr)
-    s_eff = s_arr if params.N > 0 else np.zeros_like(s_arr)
 
     _, inverse = np.unique(burst_ids, return_inverse=True)
     G = h_arr.shape[0]
@@ -389,39 +384,35 @@ def burst_costs_grid(
         return worst
 
     # the determinator pre-sorts its requests by burst id, so the
-    # gather is usually a no-op; detect that and skip the large copies
-    if np.all(inverse[:-1] <= inverse[1:]):
-        sorted_already = True
-        sorted_inverse = inverse
-    else:
-        sorted_already = False
+    # gather is usually skipped
+    if not np.all(inverse[:-1] <= inverse[1:]):
         order = np.argsort(inverse, kind="stable")
-        sorted_inverse = inverse[order]
+        offsets, lengths, is_read, inverse = (
+            offsets[order], lengths[order], is_read[order], inverse[order],
+        )
+    singletons = B == inverse.shape[0]
     # np.unique guarantees every id in [0, B) occurs, so each segment
     # start exists and reduceat sees B non-empty segments
-    seg_starts = np.searchsorted(sorted_inverse, np.arange(B))
-    h_bytes, s_bytes = per_server_bytes_grid(
-        offsets, lengths, params.M, params.N, h_eff, s_eff
-    )
-    lam = params.net_latency
+    seg_starts = np.searchsorted(inverse, np.arange(B))
 
     def segment_sum(vals: np.ndarray) -> np.ndarray:
-        if not sorted_already:
-            vals = vals[:, order, :]
-        return np.add.reduceat(vals, seg_starts, axis=1)
+        return vals if singletons else np.add.reduceat(vals, seg_starts, axis=1)
 
-    if params.M > 0:
-        loads = segment_sum(h_bytes * (params.t + params.beta_h))
-        counts = segment_sum((h_bytes > 0).astype(np.float64))
-        t_h = counts * (params.alpha_h + lam) + loads
-        worst = np.maximum(worst, t_h.max(axis=2))
-    if params.N > 0:
-        beta = np.where(is_read, params.beta_sr, params.beta_sw)[:, None]
-        alpha = np.where(is_read, params.alpha_sr, params.alpha_sw)[:, None]
-        loads = segment_sum(s_bytes * (params.t + beta[None, :, :]))
-        starts = segment_sum((s_bytes > 0) * (alpha + lam)[None, :, :])
-        t_s = starts + loads
-        worst = np.maximum(worst, t_s.max(axis=2))
+    lam = params.net_latency
+    h_alpha = params.alpha_h + lam
+    h_coef = params.t + params.beta_h
+    s_alpha = (np.where(is_read, params.alpha_sr, params.alpha_sw) + lam)[None, :]
+    s_coef = (params.t + np.where(is_read, params.beta_sr, params.beta_sw))[None, :]
+    for i, counts in enumerate(
+        server_byte_counts(offsets, lengths, params.M, params.N, h_arr, s_arr)
+    ):
+        if i < params.M:
+            starts = segment_sum((counts > 0).astype(np.float64)) * h_alpha
+            t_server = starts + segment_sum(counts * h_coef)
+        else:
+            starts = segment_sum((counts > 0) * s_alpha)
+            t_server = starts + segment_sum(counts * s_coef)
+        np.maximum(worst, t_server, out=worst)
     return worst
 
 

@@ -26,6 +26,7 @@ For each region, iterate candidate stripe pairs ``<h, s>``:
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -44,6 +45,7 @@ __all__ = [
     "search_bounds",
     "region_search_task",
     "RegionSearchTask",
+    "unique_search_tasks",
 ]
 
 #: the picklable work unit :func:`region_search_task` consumes:
@@ -61,9 +63,10 @@ RegionSearchTask = tuple[
 #: Algorithm 2's default step (user-configurable)
 DEFAULT_STEP = 4 * KiB
 
-#: soft cap on the number of float64 elements a single grid-engine
-#: temporary may hold (``chunk * K * (M + N)``); the candidate axis is
-#: chunked to stay under it.  8 Mi elements ~ 64 MB of float64.
+#: soft cap on the per-server byte counts one grid-engine chunk
+#: computes (``chunk * K * (M + N)``); the candidate axis is chunked to
+#: stay under it.  The kernels fold servers one at a time, so the live
+#: temporaries are ``chunk * K`` elements, a fraction of this budget.
 GRID_CHUNK_ELEMS = 8 * 1024 * 1024
 #: per-server unit of Algorithm 2's bound threshold (line 3).  The
 #: paper uses the PFS default stripe, 64 KB; our calibrated cluster
@@ -300,37 +303,45 @@ def determine_stripes(
     s_step = step * max(1, -(-(b_s // step) // max_axis_candidates))
 
     # enumerate the candidate sequence once, in Algorithm 2's loop
-    # order — both engines walk exactly this list, which (with their
-    # bit-identical costs) pins down identical tie-breaking
-    h_start = 0 if allow_h_zero else h_step
+    # order (h outer, s inner, both ascending) — both engines walk
+    # exactly these arrays, which (with their bit-identical costs) pins
+    # down identical tie-breaking
     if params.N == 0:
         # degenerate homogeneous cluster: only HServer stripes exist
-        pairs = [(h, 0) for h in range(h_step, b_h + h_step, h_step)]
+        h_arr = np.arange(h_step, b_h + h_step, h_step, dtype=np.int64)
+        s_arr = np.zeros_like(h_arr)
     else:
-        h_values = list(range(h_start, b_h + 1, h_step)) if params.M > 0 else [0]
-        if params.M > 0 and not h_values:
-            h_values = [h_start]  # bound below one step: smallest legal h only
-        pairs = []
-        for h in h_values:
-            s_start = max(h, s_step) if allow_equal_stripes else h + s_step
-            pairs.extend((h, s) for s in range(s_start, b_s + 1, s_step))
-    candidates = len(pairs)
+        h_start = 0 if allow_h_zero else h_step
+        h_values = np.arange(h_start, b_h + 1, h_step, dtype=np.int64)
+        if params.M == 0:
+            h_values = np.zeros(1, dtype=np.int64)
+        elif h_values.size == 0:
+            # bound below one step: smallest legal h only
+            h_values = np.array([h_start], dtype=np.int64)
+        s_starts = (
+            np.maximum(h_values, s_step) if allow_equal_stripes
+            else h_values + s_step
+        )
+        per_h = np.maximum((b_s - s_starts) // s_step + 1, 0)
+        h_arr = np.repeat(h_values, per_h)
+        # position of each candidate within its h's run of s values
+        rank = np.arange(h_arr.size) - np.repeat(np.cumsum(per_h) - per_h, per_h)
+        s_arr = np.repeat(s_starts, per_h) + rank * s_step
+    candidates = int(h_arr.size)
 
-    if pairs and engine == "grid":
-        h_arr = np.array([p[0] for p in pairs], dtype=np.int64)
-        s_arr = np.array([p[1] for p in pairs], dtype=np.int64)
-        costs = np.empty(len(pairs), dtype=np.float64)
-        # chunk the candidate axis so the (chunk, K, M + N) cost-model
-        # temporaries stay within a fixed memory budget
+    if candidates and engine == "grid":
+        costs = np.empty(candidates, dtype=np.float64)
+        # chunk the candidate axis so each chunk computes at most
+        # GRID_CHUNK_ELEMS per-server byte counts
         chunk = max(1, GRID_CHUNK_ELEMS // max(1, n_eval * (params.M + params.N)))
-        for lo in range(0, len(pairs), chunk):
+        for lo in range(0, candidates, chunk):
             hi = lo + chunk
             costs[lo:hi] = evaluate_grid(h_arr[lo:hi], s_arr[lo:hi])
         idx = int(np.argmin(costs))  # first minimum, like the loop's strict <
         best_cost = float(costs[idx])
-        best_pair = StripePair(*pairs[idx])
-    elif pairs:
-        for h, s in pairs:
+        best_pair = StripePair(int(h_arr[idx]), int(s_arr[idx]))
+    elif candidates:
+        for h, s in zip(h_arr.tolist(), s_arr.tolist()):
             cost = evaluate(h, s)
             if cost < best_cost:
                 best_cost, best_pair = cost, StripePair(h, s)
@@ -370,6 +381,40 @@ def region_search_task(task: RegionSearchTask) -> StripeDecision:
         params, offsets, lengths, is_read, concurrency,
         burst_ids=burst_ids, **kwargs,
     )
+
+
+def unique_search_tasks(
+    tasks: Sequence[RegionSearchTask],
+) -> tuple[list[int], list[int]]:
+    """Find the distinct region searches among ``tasks``.
+
+    Tasks match when their parameters, sorted search options and request
+    arrays (dtype, shape, bytes) are equal; ``None`` burst ids match only
+    ``None``.  Returns ``(first, inverse)``: the index of each distinct
+    task's first occurrence, and for every task the position in
+    ``first`` of the search that answers it.  The search is
+    deterministic, so running only the ``first`` tasks and scattering
+    through ``inverse`` gives every task's decision.
+    """
+    first: list[int] = []
+    inverse: list[int] = []
+    seen: dict[Hashable, int] = {}
+    for i, task in enumerate(tasks):
+        params, offsets, lengths, is_read, concurrency, burst_ids, kwargs = task
+        arrays = (offsets, lengths, is_read, concurrency, burst_ids)
+        key = (
+            params,
+            tuple(sorted(kwargs.items())),
+            tuple(
+                None if a is None else (a.dtype.str, a.shape, a.tobytes())
+                for a in arrays
+            ),
+        )
+        slot = seen.setdefault(key, len(first))
+        if slot == len(first):
+            first.append(i)
+        inverse.append(slot)
+    return first, inverse
 
 
 def _weighted_cost(

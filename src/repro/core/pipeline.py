@@ -42,6 +42,7 @@ from .determinator import (
     RegionSearchTask,
     StripeDecision,
     region_search_task,
+    unique_search_tasks,
 )
 from .drt import DRT, DRTEntry
 from .features import extract_features, extract_features_columnar
@@ -350,14 +351,16 @@ class MHAPipeline:
                 search_tasks.extend(tasks)
 
         # Determination: every region's RSSD search is independent, so
-        # fan the accumulated searches (across all files) out to the
+        # fan the distinct searches (across all files) out to the
         # worker pool at once
-        results = parallel_map(
+        first, inverse = unique_search_tasks(search_tasks)
+        unique_results = parallel_map(
             region_search_task,
-            search_tasks,
+            [search_tasks[i] for i in first],
             n_jobs=self.n_jobs,
-            labels=region_names,
+            labels=[region_names[i] for i in first],
         )
+        results = [unique_results[slot] for slot in inverse]
         for name, decision in zip(region_names, results):
             decisions[name] = decision
             rst.set(name, decision.pair)

@@ -20,7 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.determinator import StripeDecision, region_search_task
+from ..core.determinator import (
+    RegionSearchTask,
+    StripeDecision,
+    region_search_task,
+    unique_search_tasks,
+)
 from ..core.drt import DRT
 from ..core.parallel import parallel_map
 from ..core.pipeline import MHAPipeline, MHAPlan
@@ -110,7 +115,7 @@ class IncrementalReplanner:
             if name not in report.drifted_regions
         }
         region_names: list[str] = []
-        search_tasks: list[tuple] = []
+        search_tasks: list[RegionSearchTask] = []
         reused: list[str] = []
         for file in drifted:
             sub = window.for_file(file).sorted_by_offset()
@@ -131,12 +136,14 @@ class IncrementalReplanner:
                     region_names.append(name)
                     search_tasks.append(task)
 
-        results = parallel_map(
+        first, inverse = unique_search_tasks(search_tasks)
+        unique_results = parallel_map(
             region_search_task,
-            search_tasks,
+            [search_tasks[i] for i in first],
             n_jobs=self.pipeline.n_jobs,
-            labels=region_names,
+            labels=[region_names[i] for i in first],
         )
+        results = [unique_results[slot] for slot in inverse]
         for name, decision in zip(region_names, results):
             decisions[name] = decision
             rst.set(name, decision.pair)

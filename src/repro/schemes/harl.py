@@ -24,7 +24,12 @@ from typing import Any
 import numpy as np
 
 from ..cluster import ClusterSpec
-from ..core.determinator import DEFAULT_STEP, RegionSearchTask, region_search_task
+from ..core.determinator import (
+    DEFAULT_STEP,
+    RegionSearchTask,
+    region_search_task,
+    unique_search_tasks,
+)
 from ..core.parallel import parallel_map
 from ..core.params import CostModelParams
 from ..core.rst import StripePair
@@ -139,11 +144,16 @@ class HARLScheme(Scheme):
                 labels.append(obj)
             file_regions[file] = entries
 
-        # phase 2: all region searches are independent — run them on
-        # the worker pool
-        results = parallel_map(
-            region_search_task, tasks, n_jobs=self.n_jobs, labels=labels
+        # phase 2: all region searches are independent — run each
+        # distinct one on the worker pool
+        first, inverse = unique_search_tasks(tasks)
+        unique_results = parallel_map(
+            region_search_task,
+            [tasks[i] for i in first],
+            n_jobs=self.n_jobs,
+            labels=[labels[i] for i in first],
         )
+        results = [unique_results[slot] for slot in inverse]
 
         # phase 3: assemble the per-file region layouts in order
         layouts: dict[str, Layout] = {}

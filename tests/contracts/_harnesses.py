@@ -38,11 +38,7 @@ from repro.faults import (
 from repro.faults.state import CliffState, Scrub, ServerFaultState, Window
 from repro.layouts import FixedStripeLayout
 from repro.layouts.batch import merge_fragments
-from repro.layouts.extents import (
-    max_server_bytes_grid,
-    per_server_bytes_batch,
-    per_server_bytes_grid,
-)
+from repro.layouts.extents import max_server_bytes_grid, per_server_bytes_batch
 from repro.core.features import extract_features, extract_features_columnar
 from repro.core.pipeline import MHAPipeline
 from repro.pfs import HybridPFS, replay_trace
@@ -750,27 +746,6 @@ def _layout_view_runs(contract):
 
 
 # ---------------------------------------------------------------- array kernels
-
-
-@harness("extents_grid")
-def _extents_grid(contract):
-    @given(seed=_seeds, which=st.integers(min_value=0, max_value=len(SPECS) - 1))
-    @settings(max_examples=15, deadline=None)
-    def test(seed, which):
-        spec = SPECS[which]
-        M, N = spec.num_hservers, spec.num_sservers
-        rng = np.random.default_rng(seed)
-        offsets, lengths, _, _, _ = _random_region(rng)
-        h_arr, s_arr = _candidate_grid(rng)
-        hg, sg = per_server_bytes_grid(offsets, lengths, M, N, h_arr, s_arr)
-        for g in range(h_arr.shape[0]):
-            hb, sb = per_server_bytes_batch(
-                offsets, lengths, M, N, int(h_arr[g]), int(s_arr[g])
-            )
-            assert np.array_equal(hg[g], hb)
-            assert np.array_equal(sg[g], sb)
-
-    return test
 
 
 @harness("extents_max_grid")

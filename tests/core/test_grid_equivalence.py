@@ -10,6 +10,8 @@ per-candidate cost rows and per-server byte counts are compared with
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
 from repro.core import CostModelParams, determine_stripes
@@ -23,7 +25,7 @@ from repro.exceptions import ConfigurationError
 from repro.layouts.extents import (
     max_server_bytes_grid,
     per_server_bytes_batch,
-    per_server_bytes_grid,
+    server_byte_counts,
 )
 
 SPECS = [
@@ -54,19 +56,24 @@ class TestKernelEquivalence:
     """The grid extent/cost kernels row-for-row against the scalar ones."""
 
     @pytest.mark.parametrize("spec", SPECS)
-    def test_per_server_bytes_grid_matches_batch(self, spec):
+    def test_server_byte_counts_match_batch(self, spec):
         rng = np.random.default_rng(1)
         M, N = spec.num_hservers, spec.num_sservers
         for _ in range(5):
             offsets, lengths, _, _, _ = random_region(rng)
             h_arr, s_arr = candidate_grid(rng)
-            hg, sg = per_server_bytes_grid(offsets, lengths, M, N, h_arr, s_arr)
+            per_server = list(
+                server_byte_counts(offsets, lengths, M, N, h_arr, s_arr)
+            )
+            assert len(per_server) == M + N
             for g in range(h_arr.shape[0]):
                 hb, sb = per_server_bytes_batch(
                     offsets, lengths, M, N, int(h_arr[g]), int(s_arr[g])
                 )
-                assert np.array_equal(hg[g], hb)
-                assert np.array_equal(sg[g], sb)
+                got = [counts[g] for counts in per_server]
+                want = [hb[:, i] for i in range(M)] + [sb[:, j] for j in range(N)]
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_max_server_bytes_grid_is_fused_max(self, spec):
@@ -74,16 +81,19 @@ class TestKernelEquivalence:
         M, N = spec.num_hservers, spec.num_sservers
         offsets, lengths, _, _, _ = random_region(rng)
         h_arr, s_arr = candidate_grid(rng)
-        hg, sg = per_server_bytes_grid(offsets, lengths, M, N, h_arr, s_arr)
         hm, sm = max_server_bytes_grid(offsets, lengths, M, N, h_arr, s_arr)
-        if M > 0:
-            assert np.array_equal(hm, hg.max(axis=2))
-        else:
-            assert not hm.any()
-        if N > 0:
-            assert np.array_equal(sm, sg.max(axis=2))
-        else:
-            assert not sm.any()
+        for g in range(h_arr.shape[0]):
+            hb, sb = per_server_bytes_batch(
+                offsets, lengths, M, N, int(h_arr[g]), int(s_arr[g])
+            )
+            if M > 0:
+                assert np.array_equal(hm[g], hb.max(axis=1))
+            else:
+                assert not hm[g].any()
+            if N > 0:
+                assert np.array_equal(sm[g], sb.max(axis=1))
+            else:
+                assert not sm[g].any()
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_batch_costs_grid_rows_match_scalar(self, spec):
@@ -140,6 +150,46 @@ class TestKernelEquivalence:
         assert out.shape == (0, 0)
 
 
+class TestFusedBurstKernel:
+    """The per-server fold of ``burst_costs_grid`` on its edge cases:
+    singleton bursts (no ``reduceat``), sorted and shuffled burst ids,
+    ``h = 0`` candidates, and clusters without HServers or SServers."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        servers=st.sampled_from([(4, 4), (3, 1), (4, 0), (0, 3), (1, 1)]),
+        singletons=st.booleans(),
+        shuffled=st.booleans(),
+        h_zero=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_full_matrix_matches_scalar(
+        self, seed, servers, singletons, shuffled, h_zero
+    ):
+        M, N = servers
+        params = CostModelParams.from_cluster(
+            ClusterSpec(num_hservers=M, num_sservers=N)
+        )
+        rng = np.random.default_rng(seed)
+        offsets, lengths, is_read, _, bursts = random_region(rng)
+        K = offsets.shape[0]
+        bursts = np.arange(K) if singletons else np.sort(bursts)
+        if shuffled:
+            bursts = rng.permutation(bursts)
+        h_arr, s_arr = candidate_grid(rng)
+        if h_zero:
+            h_arr[::2] = 0
+        grid = burst_costs_grid(params, offsets, lengths, is_read, bursts, h_arr, s_arr)
+        rows = np.stack([
+            burst_costs(
+                params, offsets, lengths, is_read, bursts, int(h), int(s)
+            )
+            for h, s in zip(h_arr, s_arr)
+        ])
+        assert grid.shape == (h_arr.shape[0], np.unique(bursts).shape[0])
+        assert np.array_equal(grid, rows)
+
+
 class TestSearchEquivalence:
     """Seeded property-style sweep: the two engines return the identical
     ``StripeDecision`` on random regions, in both cost modes."""
@@ -192,6 +242,32 @@ class TestSearchEquivalence:
             determinator.GRID_CHUNK_ELEMS = original
         assert tiny.pair == baseline.pair
         assert tiny.cost == baseline.cost
+
+    def test_engines_agree_when_the_region_fills_several_chunks(self):
+        """A region large enough that the default chunk rule splits the
+        candidate axis: the grid engine must match the scalar loop."""
+        from repro.core import determinator
+
+        spec = ClusterSpec(num_hservers=32, num_sservers=32)
+        params = CostModelParams.from_cluster(spec)
+        rng = np.random.default_rng(17)
+        K = 2048
+        offsets = rng.integers(0, 1 << 26, K)
+        lengths = rng.integers(1, 1 << 20, K)
+        is_read = rng.random(K) < 0.5
+        conc = rng.integers(1, 8, K)
+        bursts = rng.integers(0, K // 2, K)
+        kw = dict(burst_ids=bursts, max_eval_requests=K, max_axis_candidates=16)
+        grid = determine_stripes(
+            params, offsets, lengths, is_read, conc, engine="grid", **kw
+        )
+        # fewer bursts than max_eval_requests: all K requests are scored
+        chunk = determinator.GRID_CHUNK_ELEMS // (K * 64)
+        assert -(-grid.candidates // chunk) >= 3, (grid.candidates, chunk)
+        scalar = determine_stripes(
+            params, offsets, lengths, is_read, conc, engine="scalar", **kw
+        )
+        assert grid == scalar
 
     def test_unknown_engine_rejected(self):
         params = CostModelParams.from_cluster(ClusterSpec())
