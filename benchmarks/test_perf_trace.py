@@ -6,7 +6,8 @@ columnar`) vectorizes, against the record path they are twins of:
 * ``trace-ingest-*`` — building a trace from raw request columns: one
   million ``TraceRecord`` constructions versus one
   :meth:`ColumnarTrace.from_columns` call on the same NumPy columns;
-* ``trace-cluster-*`` — :func:`extract_features` (phase split, burst
+* ``trace-cluster-*`` — the record-path reference
+  :func:`tests.oracles.features.extract_features` (phase split, burst
   clustering with the adaptive spatial threshold, feature matrix)
   versus :func:`extract_features_columnar` on the identical trace.
 
@@ -31,12 +32,10 @@ sys.path.insert(0, str(REPO_ROOT))
 
 from harness.bench import BenchReport, PhaseResult  # noqa: E402
 
-from repro.core.features import (  # noqa: E402
-    extract_features,
-    extract_features_columnar,
-)
+from repro.core.features import extract_features_columnar  # noqa: E402
 from repro.tracing import ColumnarTrace, Trace, TraceRecord  # noqa: E402
 from repro.units import KiB  # noqa: E402
+from tests.oracles.features import extract_features  # noqa: E402
 
 N_REQUESTS = 1_000_000
 MIN_SPEEDUP = 10.0

@@ -14,7 +14,7 @@ from .determinator import (
     search_bounds,
 )
 from .drt import DRT, DRTEntry, ENTRY_NUMERIC_BYTES, TranslatedExtent
-from .features import FeatureSet, extract_features, normalized_distances
+from .features import FeatureSet, extract_features_columnar, normalized_distances
 from .grouping import (
     DEFAULT_MAX_GROUPS,
     GroupingResult,
@@ -26,7 +26,6 @@ from .params import CostModelParams
 from .pipeline import (
     MHAPipeline,
     MHAPlan,
-    OnlinePipeline,
     identity_redirector,
     load_plan,
 )
@@ -38,7 +37,7 @@ from .placer import (
     place_regions,
 )
 from .redirector import Redirector, RedirectorStats
-from .reorganizer import RegionPlan, RegionRequest, ReorderPlan, reorganize
+from .reorganizer import RegionPlan, RegionRequest, ReorderPlan, reorganize_arrays
 from .rst import RST, StripePair
 from .verify import PlanReport, verify_plan
 
@@ -48,7 +47,7 @@ __all__ = [
     "request_cost",
     "region_cost",
     "FeatureSet",
-    "extract_features",
+    "extract_features_columnar",
     "normalized_distances",
     "GroupingResult",
     "group_requests",
@@ -64,7 +63,7 @@ __all__ = [
     "RegionPlan",
     "RegionRequest",
     "ReorderPlan",
-    "reorganize",
+    "reorganize_arrays",
     "StripeDecision",
     "determine_stripes",
     "search_bounds",
@@ -78,7 +77,6 @@ __all__ = [
     "RedirectorStats",
     "MHAPipeline",
     "MHAPlan",
-    "OnlinePipeline",
     "identity_redirector",
     "load_plan",
     "PlanReport",

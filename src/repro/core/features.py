@@ -15,13 +15,10 @@ import numpy as np
 
 from ..contracts import twin_of
 from ..numerics import replace_near_zero
-from ..tracing.analysis import concurrency_of
 from ..tracing.columnar import ColumnarTrace, concurrency_columnar
-from ..tracing.record import Trace
 
 __all__ = [
     "FeatureSet",
-    "extract_features",
     "extract_features_columnar",
     "normalized_distances",
 ]
@@ -54,40 +51,21 @@ class FeatureSet:
         return self.points / self.spread
 
 
-def extract_features(
-    trace: Trace, gap: float = 0.5, spatial: bool | int = False
-) -> FeatureSet:
-    """Build the ``(size, concurrency)`` feature matrix for a trace.
-
-    Concurrency comes from phase analysis of the timestamps
-    (:func:`repro.tracing.analysis.concurrency_of`); requests in the
-    same I/O burst (and, when ``spatial`` is enabled, the same file
-    neighbourhood) share a concurrency value.
-    """
-    n = len(trace)
-    points = np.zeros((n, 2), dtype=np.float64)
-    if n:
-        conc = concurrency_of(trace, gap=gap, spatial=spatial)
-        for row, record in enumerate(trace):
-            points[row, 0] = record.size
-            points[row, 1] = conc[record]
-    spread = _spread(points)
-    return FeatureSet(points=points, spread=spread)
-
-
 @twin_of(
-    "repro.core.features:extract_features",
+    "tests.oracles.features:extract_features",
     kind="bit_identical",
     harness="features_columnar",
 )
 def extract_features_columnar(
     trace: ColumnarTrace, gap: float = 0.5, spatial: bool | int = False
 ) -> FeatureSet:
-    """Columnar :func:`extract_features` — same matrix, no record loop.
+    """Build the ``(size, concurrency)`` feature matrix for a trace.
 
-    Sizes are exact integers and concurrency values are exact integer
-    counts, so the float64 feature matrix is bit-identical to the
-    record path's, spread included.
+    Concurrency comes from phase analysis of the timestamps
+    (:func:`repro.tracing.columnar.concurrency_columnar`); requests in
+    the same I/O burst (and, when ``spatial`` is enabled, the same file
+    neighbourhood) share a concurrency value.  Sizes and concurrency
+    values are exact integers, so the float64 matrix is exact.
     """
     n = len(trace)
     points = np.zeros((n, 2), dtype=np.float64)

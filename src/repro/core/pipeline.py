@@ -7,15 +7,10 @@ application's profiled first run and its subsequent runs: it consumes
 the collector's trace and produces an :class:`MHAPlan` holding the DRT,
 the RST, every region's layout and the runtime
 :class:`~repro.core.redirector.Redirector`.
-
-:class:`OnlinePipeline` is the paper's future-work extension — a
-sliding-window variant that re-plans as new requests stream in, for
-applications whose patterns are not predictable from one profiling run.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -28,14 +23,14 @@ from ..contracts import twin_of
 from ..exceptions import ConfigurationError
 from ..layouts.base import Layout
 from ..layouts.fixed import FixedStripeLayout
-from ..tracing.analysis import burst_ids_of, concurrency_of
 from ..tracing.columnar import (
     ColumnarTrace,
+    as_columnar_trace,
     collapse_by_last_group,
     concurrency_and_burst_ids,
     identity_classes,
 )
-from ..tracing.record import Trace, TraceRecord
+from ..tracing.record import Trace
 from ..units import KiB
 from .determinator import (
     DEFAULT_STEP,
@@ -45,17 +40,17 @@ from .determinator import (
     unique_search_tasks,
 )
 from .drt import DRT, DRTEntry
-from .features import extract_features, extract_features_columnar
+from .features import extract_features_columnar
 from .grouping import DEFAULT_MAX_GROUPS, GroupingResult, group_requests, suggest_k
 from .intervals import IntervalSet
 from .parallel import parallel_map
 from .params import CostModelParams
 from .placer import place_regions
 from .redirector import Redirector
-from .reorganizer import ReorderPlan, reorganize, reorganize_arrays
+from .reorganizer import ReorderPlan, reorganize_arrays
 from .rst import RST
 
-__all__ = ["MHAPlan", "MHAPipeline", "OnlinePipeline", "identity_redirector", "load_plan"]
+__all__ = ["MHAPlan", "MHAPipeline", "identity_redirector", "load_plan"]
 
 #: stripe size of the original (pre-optimization) file layout — the PFS
 #: default the application was deployed with
@@ -183,8 +178,13 @@ class MHAPipeline:
             engine=self.engine,
         )
 
-    def plan_file(
-        self, file: str, sub: Trace, drt: DRT
+    @twin_of(
+        "tests.oracles.pipeline:RecordPipeline.plan_file",
+        kind="bit_identical",
+        harness="plan_file_columnar",
+    )
+    def plan_file_columnar(
+        self, file: str, sub: ColumnarTrace, drt: DRT
     ) -> tuple[ReorderPlan, GroupingResult, list[str], list[RegionSearchTask]]:
         """Run grouping + reordering for one file; return its search tasks.
 
@@ -198,8 +198,14 @@ class MHAPipeline:
         :meth:`plan` so the online re-planner
         (:mod:`repro.online.replanner`) can rebuild a single drifted
         file with exactly the off-line semantics.
+
+        Per-group concurrency and burst ids follow the record-keyed
+        reference's dict-update semantics, including the cross-group
+        collapse a duplicate record triggers when a later group
+        overwrites an earlier one (reachable in the ``n <= k``
+        one-request-per-group branch).
         """
-        features = extract_features(sub, gap=self.gap, spatial=self.spatial)
+        features = extract_features_columnar(sub, gap=self.gap, spatial=self.spatial)
         distinct = int(np.unique(features.points, axis=0).shape[0]) if len(sub) else 1
         k = self.k if self.k is not None else suggest_k(
             len(sub), distinct, self.max_groups
@@ -211,63 +217,6 @@ class MHAPipeline:
         # *same-group* requests issued simultaneously.  (Schemes
         # without grouping cannot make this distinction — that
         # sharper cost estimate is part of what reordering buys.)
-        conc: dict[TraceRecord, int] = {}
-        bursts: dict[TraceRecord, int] = {}
-        next_burst = 0
-        for g in range(grouping.k):
-            members = Trace(sub[int(i)] for i in grouping.members(g))
-            conc.update(
-                concurrency_of(members, gap=self.gap, spatial=self.spatial)
-            )
-            ids = burst_ids_of(members, gap=self.gap, spatial=self.spatial)
-            for record, local_id in ids.items():
-                bursts[record] = next_burst + local_id
-            next_burst += (max(ids.values()) + 1) if ids else 0
-        plan = reorganize(
-            sub, grouping, conc, o_file=file, drt=drt, bursts=bursts
-        )
-        region_names: list[str] = []
-        search_tasks: list[RegionSearchTask] = []
-        for region in plan.regions:
-            offsets, lengths, is_read, concurrency, burst_ids = (
-                region.request_arrays()
-            )
-            region_names.append(region.name)
-            search_tasks.append((
-                self.params,
-                offsets,
-                lengths,
-                is_read,
-                concurrency,
-                burst_ids,
-                self.search_kwargs(),
-            ))
-        return plan, grouping, region_names, search_tasks
-
-    @twin_of(
-        "repro.core.pipeline:MHAPipeline.plan_file",
-        kind="bit_identical",
-        harness="plan_file_columnar",
-    )
-    def plan_file_columnar(
-        self, file: str, sub: ColumnarTrace, drt: DRT
-    ) -> tuple[ReorderPlan, GroupingResult, list[str], list[RegionSearchTask]]:
-        """:meth:`plan_file` over a columnar trace — no record objects.
-
-        Identical outputs (plan, grouping, names, tasks): the feature
-        matrix is the :func:`extract_features_columnar` twin's, the
-        grouping runs the exact same array k-means, and the per-group
-        concurrency/burst assignment reproduces the reference's
-        dict-update semantics — including the cross-group collapse a
-        duplicate record triggers when later groups overwrite earlier
-        ones (reachable in the ``n <= k`` one-request-per-group branch).
-        """
-        features = extract_features_columnar(sub, gap=self.gap, spatial=self.spatial)
-        distinct = int(np.unique(features.points, axis=0).shape[0]) if len(sub) else 1
-        k = self.k if self.k is not None else suggest_k(
-            len(sub), distinct, self.max_groups
-        )
-        grouping = group_requests(features, k=k, seed=self.seed)
         n = len(sub)
         conc_arr = np.ones(n, dtype=np.int64)
         burst_arr = np.full(n, -1, dtype=np.int64)
@@ -315,11 +264,12 @@ class MHAPipeline:
     def plan(self, trace: "Trace | ColumnarTrace") -> MHAPlan:
         """Run reordering + determination + placement over a trace.
 
-        Accepts either trace representation; the columnar one runs the
-        vectorized twins end-to-end and produces a bit-identical plan.
-        Either way the per-file sub-traces come from a single-pass
-        partition, not a per-file rescan of the whole trace.
+        Accepts either trace representation; a record trace is
+        converted to columnar once, here.  The per-file sub-traces come
+        from a single-pass partition, not a per-file rescan of the
+        whole trace.
         """
+        trace = as_columnar_trace(trace)
         drt = DRT(self.drt_path) if self.drt_path else DRT()
         rst = RST(self.rst_path) if self.rst_path else RST()
         reorder_plans: dict[str, ReorderPlan] = {}
@@ -328,27 +278,14 @@ class MHAPipeline:
         original_layouts: dict[str, Layout] = {}
         region_names: list[str] = []
         search_tasks: list[RegionSearchTask] = []
-
-        if isinstance(trace, ColumnarTrace):
-            for file, indices in trace.file_partition().items():
-                sub_col = trace.take(indices).sorted_by_offset()
-                original_layouts[file] = self._original_layout(file)
-                plan, grouping, names, tasks = self.plan_file_columnar(
-                    file, sub_col, drt
-                )
-                reorder_plans[file] = plan
-                groupings[file] = grouping
-                region_names.extend(names)
-                search_tasks.extend(tasks)
-        else:
-            for file, sub_records in trace.partition_by_file().items():
-                sub = sub_records.sorted_by_offset()
-                original_layouts[file] = self._original_layout(file)
-                plan, grouping, names, tasks = self.plan_file(file, sub, drt)
-                reorder_plans[file] = plan
-                groupings[file] = grouping
-                region_names.extend(names)
-                search_tasks.extend(tasks)
+        for file, indices in trace.file_partition().items():
+            sub = trace.take(indices).sorted_by_offset()
+            original_layouts[file] = self._original_layout(file)
+            plan, grouping, names, tasks = self.plan_file_columnar(file, sub, drt)
+            reorder_plans[file] = plan
+            groupings[file] = grouping
+            region_names.extend(names)
+            search_tasks.extend(tasks)
 
         # Determination: every region's RSSD search is independent, so
         # fan the distinct searches (across all files) out to the
@@ -449,44 +386,3 @@ def identity_redirector(
     # region layouts == original layouts: data did not move
     return Redirector(drt, dict(layouts), dict(layouts))
 
-
-class OnlinePipeline:
-    """Sliding-window re-planning (the paper's dynamic future work).
-
-    Feed runtime records through :meth:`observe`; once ``window``
-    records have accumulated since the last plan, the off-line pipeline
-    re-runs over the most recent ``window`` records.  The current plan
-    is always available (``None`` until the first window fills).
-
-    .. deprecated::
-        This naive sketch re-runs the *full* off-line pipeline on a
-        fixed cadence and swaps plans instantaneously, ignoring both
-        drift and migration cost.  Use
-        :class:`repro.online.RelayoutController` instead — it detects
-        drifted regions, re-plans only those, admits a relayout only
-        when the modelled payback beats the migration cost, and
-        executes the migration as throttled background I/O with an
-        epoch-based swap.  ``RelayoutController.from_online`` accepts
-        the same ``(pipeline, window)`` arguments.
-    """
-
-    def __init__(self, pipeline: MHAPipeline, window: int = 1024) -> None:
-        if window <= 0:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        self.pipeline = pipeline
-        self.window = window
-        self._buffer: deque[TraceRecord] = deque(maxlen=window)
-        self._since_plan = 0
-        self.plan: MHAPlan | None = None
-        self.replans = 0
-
-    def observe(self, record: TraceRecord) -> MHAPlan | None:
-        """Add one runtime record; returns a fresh plan when one is built."""
-        self._buffer.append(record)
-        self._since_plan += 1
-        if self._since_plan >= self.window:
-            self.plan = self.pipeline.plan(Trace(self._buffer))
-            self._since_plan = 0
-            self.replans += 1
-            return self.plan
-        return None

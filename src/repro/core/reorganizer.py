@@ -23,14 +23,12 @@ file and fall through the redirector unmapped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
 from ..devices.base import READ
 from ..exceptions import ConfigurationError
 from ..tracing.columnar import OP_NAMES, ColumnarTrace
-from ..tracing.record import Trace, TraceRecord
 from .drt import DRT, DRTEntry
 from .grouping import GroupingResult
 from .intervals import IntervalSet
@@ -39,7 +37,6 @@ __all__ = [
     "RegionRequest",
     "RegionPlan",
     "ReorderPlan",
-    "reorganize",
     "reorganize_arrays",
 ]
 
@@ -50,8 +47,8 @@ class RegionRequest:
 
     ``burst`` identifies the simultaneous request group the original
     record belonged to (see
-    :func:`repro.tracing.analysis.burst_ids_of`); fragments of records
-    issued together share an id, letting the determinator evaluate the
+    :func:`repro.tracing.columnar.burst_ids_columnar`); fragments of
+    records issued together share an id, letting the determinator evaluate the
     exact burst completion times.
     """
 
@@ -118,15 +115,15 @@ def region_name(o_file: str, group: int) -> str:
     return f"{o_file}.region{group}"
 
 
-def reorganize(
-    trace: Trace,
+def reorganize_arrays(
+    trace: ColumnarTrace,
     grouping: GroupingResult,
-    concurrency: Mapping[TraceRecord, int],
+    concurrency: np.ndarray,
     o_file: str | None = None,
     drt: DRT | None = None,
-    bursts: Mapping[TraceRecord, int] | None = None,
+    bursts: np.ndarray | None = None,
 ) -> ReorderPlan:
-    """Build regions + DRT from a grouped trace.
+    """Build regions + DRT from a grouped single-file trace.
 
     Parameters
     ----------
@@ -137,113 +134,19 @@ def reorganize(
     grouping:
         Output of :func:`repro.core.grouping.group_requests`.
     concurrency:
-        Per-record concurrency mapping from
-        :func:`repro.tracing.analysis.concurrency_of`.
+        Per-request concurrency, index-aligned with ``trace``.
     o_file:
         Original file name; defaults to the trace's single file.
     drt:
         An existing (possibly persistent) DRT to fill; a fresh
         in-memory one is created when omitted.
     bursts:
-        Optional per-record burst ids
-        (:func:`repro.tracing.analysis.burst_ids_of`); carried onto the
-        region requests for exact burst-level cost evaluation.
-    """
-    if len(grouping.labels) != len(trace):
-        raise ConfigurationError(
-            f"grouping labels ({len(grouping.labels)}) do not match trace "
-            f"({len(trace)} records)"
-        )
-    files = trace.files()
-    if len(files) > 1:
-        raise ConfigurationError(
-            f"reorganize expects a single-file trace, got files {files}"
-        )
-    if o_file is None:
-        o_file = files[0] if files else "file"
-    if drt is None:
-        drt = DRT()
+        Optional per-request burst ids, index-aligned with ``trace``;
+        carried onto the region requests for exact burst-level cost
+        evaluation.  Without them every request is its own burst.
 
-    claimed = IntervalSet()
-    regions = [
-        RegionPlan(name=region_name(o_file, g), group=g)
-        for g in range(grouping.k)
-    ]
-    migrated = 0
-
-    # Phase 1 — claim bytes group by group, offset order inside a group.
-    for region in regions:
-        member_indices = grouping.members(region.group)
-        members = sorted((trace[int(i)] for i in member_indices),
-                         key=lambda r: (r.offset, r.timestamp))
-        for record in members:
-            for gap_start, gap_end in claimed.add(record.offset, record.end):
-                entry = DRTEntry(
-                    o_file=o_file,
-                    o_offset=gap_start,
-                    length=gap_end - gap_start,
-                    r_file=region.name,
-                    r_offset=region.size,
-                )
-                drt.add(entry)
-                region.size += entry.length
-                migrated += entry.length
-
-    # Phase 2 — express every request in region coordinates via the DRT.
-    by_name = {r.name: r for r in regions}
-    for record in trace:
-        conc = concurrency.get(record, 1)
-        burst = bursts.get(record, -1) if bursts else -1
-        # accumulate this record's fragments per region, merging extents
-        # that stay contiguous within the same region
-        pending: dict[str, RegionRequest] = {}
-        for extent in drt.translate(o_file, record.offset, record.size):
-            if not extent.mapped:
-                continue  # cannot happen here: every byte was claimed above
-            prev = pending.get(extent.file)
-            if prev is not None and prev.offset + prev.length == extent.offset:
-                pending[extent.file] = RegionRequest(
-                    offset=prev.offset,
-                    length=prev.length + extent.length,
-                    op=record.op,
-                    concurrency=conc,
-                    burst=burst,
-                )
-            else:
-                if prev is not None:
-                    by_name[extent.file].requests.append(prev)
-                pending[extent.file] = RegionRequest(
-                    offset=extent.offset,
-                    length=extent.length,
-                    op=record.op,
-                    concurrency=conc,
-                    burst=burst,
-                )
-        for name, fragment in pending.items():
-            by_name[name].requests.append(fragment)
-
-    # drop regions that ended up empty (possible when another group
-    # claimed every byte the group touched)
-    regions = [r for r in regions if r.size > 0 or r.requests]
-    return ReorderPlan(o_file=o_file, regions=regions, drt=drt, migrated_bytes=migrated)
-
-
-def reorganize_arrays(
-    trace: ColumnarTrace,
-    grouping: GroupingResult,
-    concurrency: np.ndarray,
-    o_file: str | None = None,
-    drt: DRT | None = None,
-    bursts: np.ndarray | None = None,
-) -> ReorderPlan:
-    """:func:`reorganize` over a columnar trace — same plan, no records.
-
-    ``concurrency``/``bursts`` are index-aligned per-request arrays
-    (the columnar stand-ins for the reference's record-keyed mappings).
-    The output :class:`ReorderPlan` — regions, requests, DRT entries,
-    migrated bytes — is identical to the record path's, and phase 2
-    goes through :meth:`~repro.core.drt.DRT.translate_many`, whose
-    twin contract guarantees identical cache accounting too.
+    Phase 2 translates every request at once through
+    :meth:`~repro.core.drt.DRT.translate_many`.
     """
     if len(grouping.labels) != len(trace):
         raise ConfigurationError(
@@ -275,8 +178,7 @@ def reorganize_arrays(
     migrated = 0
 
     # Phase 1 — claim bytes group by group, offset order inside a group.
-    # np.lexsort is stable, matching the reference's sorted() on the
-    # (offset, timestamp) key over ascending member indices.
+    # np.lexsort is stable: ties keep ascending member-index order.
     for region in regions:
         member_indices = grouping.members(region.group)
         order = np.lexsort((ts[member_indices], off[member_indices]))

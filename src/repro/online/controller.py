@@ -34,7 +34,7 @@ instantaneous (stop-the-world) swap.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.pipeline import MHAPipeline, MHAPlan
 from ..exceptions import ConfigurationError
@@ -226,12 +226,12 @@ class RelayoutController:
     def from_online(
         cls, pipeline: MHAPipeline, window: int = 1024, **kwargs
     ) -> "RelayoutController":
-        """Adapter for :class:`repro.core.pipeline.OnlinePipeline` users.
+        """A controller with an *empty* initial plan.
 
-        Builds a controller with an *empty* initial plan (everything
-        falls through to the original layouts until the first admitted
-        relayout), using the legacy sketch's ``(pipeline, window)``
-        signature.
+        Everything falls through to the original layouts until the
+        first admitted relayout; ``window`` sizes the recent-request
+        window and ``kwargs`` fill the rest of the
+        :class:`ControllerConfig`.
         """
         empty = pipeline.plan(Trace([]))
         config = ControllerConfig(window=window, **kwargs)

@@ -33,6 +33,7 @@ from ..core.placer import place_regions
 from ..core.redirector import Redirector
 from ..core.rst import RST
 from ..layouts.base import Layout
+from ..tracing.columnar import as_columnar_trace
 from ..tracing.record import Trace
 from .drift import DriftReport, plan_centroids, relative_distance
 
@@ -86,9 +87,13 @@ class IncrementalReplanner:
         and re-searched from their window records; every other file of
         the old plan is carried over unchanged (same DRT entries, same
         layouts, same decisions), so the resulting plan can serve the
-        whole namespace the old one did.
+        whole namespace the old one did.  The window is converted to
+        columnar once and each drifted file is rebuilt by
+        :meth:`~repro.core.pipeline.MHAPipeline.plan_file_columnar`.
         """
-        drifted = [f for f in report.drifted_files if len(window.for_file(f))]
+        columns = as_columnar_trace(window)
+        parts = columns.file_partition()
+        drifted = [f for f in report.drifted_files if f in parts]
         drt = DRT()
         rst = RST()
         reorder_plans = dict(old_plan.reorder_plans)
@@ -118,11 +123,13 @@ class IncrementalReplanner:
         search_tasks: list[RegionSearchTask] = []
         reused: list[str] = []
         for file in drifted:
-            sub = window.for_file(file).sorted_by_offset()
+            sub = columns.take(parts[file]).sorted_by_offset()
             original_layouts.setdefault(
                 file, self.pipeline._original_layout(file)
             )
-            plan, grouping, names, tasks = self.pipeline.plan_file(file, sub, drt)
+            plan, grouping, names, tasks = self.pipeline.plan_file_columnar(
+                file, sub, drt
+            )
             reorder_plans[file] = plan
             groupings[file] = grouping
             for region, name, task in zip(plan.regions, names, tasks):

@@ -4,7 +4,6 @@ from .analysis import (
     Phase,
     TraceStats,
     burst_clusters,
-    burst_ids_of,
     concurrency_of,
     split_phases,
     trace_statistics,
@@ -38,7 +37,6 @@ __all__ = [
     "split_phases",
     "concurrency_of",
     "burst_clusters",
-    "burst_ids_of",
     "trace_statistics",
     "save_trace",
     "load_trace",

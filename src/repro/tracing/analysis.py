@@ -143,22 +143,6 @@ def concurrency_of(
     return mapping
 
 
-def burst_ids_of(
-    trace: Trace, gap: float = 0.5, spatial: bool | int = False
-) -> dict[TraceRecord, int]:
-    """Per-record burst identifier (dense ints, one per burst).
-
-    The layout determinator uses burst ids to evaluate the cost model
-    against the trace's *actual* simultaneous request groups rather
-    than a statistical approximation of them.
-    """
-    mapping: dict[TraceRecord, int] = {}
-    for idx, members in enumerate(burst_clusters(trace, gap=gap, spatial=spatial)):
-        for record in members:
-            mapping[record] = idx
-    return mapping
-
-
 @dataclass(frozen=True)
 class TraceStats:
     """Summary statistics of a trace (used in reports and sanity tests)."""

@@ -10,7 +10,7 @@ module carries the same trace as one NumPy structured array
 twins of the hot analysis functions:
 
 * :func:`split_phases_columnar`  — :func:`~repro.tracing.analysis.split_phases`
-* :func:`burst_ids_columnar`     — :func:`~repro.tracing.analysis.burst_ids_of`
+* :func:`burst_ids_columnar`     — :func:`~tests.oracles.analysis.burst_ids_of`
 * :func:`concurrency_columnar`   — :func:`~repro.tracing.analysis.concurrency_of`
 
 Every twin is registered in :mod:`repro.contracts` with
@@ -27,7 +27,7 @@ that dict-update semantics (:func:`concurrency_and_burst_ids` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -676,15 +676,16 @@ def concurrency_columnar(
 
 
 @twin_of(
-    "repro.tracing.analysis:burst_ids_of",
+    "tests.oracles.analysis:burst_ids_of",
     kind="reduction",
     harness="trace_bursts",
 )
 def burst_ids_columnar(
     trace: ColumnarTrace, gap: float = 0.5, spatial: bool | int = False
 ) -> np.ndarray:
-    """Vectorized :func:`~repro.tracing.analysis.burst_ids_of` (same
-    dict-update collapse semantics as :func:`concurrency_columnar`)."""
+    """Per-record burst ids (dense ints, one per burst of
+    :func:`~repro.tracing.analysis.burst_clusters`), with the same
+    dict-update collapse semantics as :func:`concurrency_columnar`."""
     _, bursts = concurrency_and_burst_ids(trace, gap=gap, spatial=spatial)
     return bursts
 
@@ -697,7 +698,7 @@ def collapse_by_last_group(
 ) -> np.ndarray:
     """Cross-group dict-update collapse for per-record values.
 
-    The pipeline's per-group ``dict.update`` loop lets a duplicate
+    The record-path planner's per-group ``dict.update`` loop lets a duplicate
     record in a *later* group overwrite the value an earlier group
     assigned (reachable only in the ``n <= k`` branch of Algorithm 1,
     where every request seeds its own group).  Given index-aligned
@@ -712,12 +713,3 @@ def collapse_by_last_group(
     )
     winner = order[last]  # one index per class, classes in id order
     return values[winner[inverse]]
-
-
-# re-exported for Mapping-based callers that want a columnar view of the
-# reference dicts (tests, docs examples)
-def mapping_to_array(
-    mapping: Mapping[TraceRecord, int], trace: Trace, default: int = 1
-) -> np.ndarray:
-    """Index-align a reference ``dict[TraceRecord, int]`` with a trace."""
-    return np.array([mapping.get(r, default) for r in trace], dtype=np.int64)

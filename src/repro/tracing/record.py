@@ -103,17 +103,6 @@ class Trace(Sequence[TraceRecord]):
         """Only the records touching ``file``."""
         return Trace(r for r in self._records if r.file == file)
 
-    def partition_by_file(self) -> dict[str, "Trace"]:
-        """One-pass file → sub-trace partition, first-appearance key order.
-
-        Equivalent to ``{f: trace.for_file(f) for f in trace.files()}``
-        but a single scan instead of O(files × records).
-        """
-        groups: dict[str, list[TraceRecord]] = {}
-        for r in self._records:
-            groups.setdefault(r.file, []).append(r)
-        return {file: Trace(recs) for file, recs in groups.items()}
-
     def files(self) -> tuple[str, ...]:
         """Distinct file names, in first-appearance order."""
         seen: dict[str, None] = {}

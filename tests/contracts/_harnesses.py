@@ -39,8 +39,7 @@ from repro.faults.state import CliffState, Scrub, ServerFaultState, Window
 from repro.layouts import FixedStripeLayout
 from repro.layouts.batch import merge_fragments
 from repro.layouts.extents import max_server_bytes_grid, per_server_bytes_batch
-from repro.core.features import extract_features, extract_features_columnar
-from repro.core.pipeline import MHAPipeline
+from repro.core.features import extract_features_columnar
 from repro.pfs import HybridPFS, replay_trace
 from repro.pfs.server import DataServer
 from repro.schemes.base import LayoutView
@@ -50,7 +49,6 @@ from repro.tracing import (
     Trace,
     TraceRecord,
     burst_ids_columnar,
-    burst_ids_of,
     concurrency_columnar,
     concurrency_of,
     load_trace,
@@ -61,6 +59,9 @@ from repro.tracing import (
     split_phases_columnar,
 )
 from repro.units import KiB
+from tests.oracles.analysis import burst_ids_of
+from tests.oracles.features import extract_features
+from tests.oracles.pipeline import RecordPipeline
 
 HARNESSES = {}
 
@@ -349,7 +350,7 @@ def _plan_file_columnar(contract):
         sub = trace.for_file("f").sorted_by_offset()
         col = ColumnarTrace.from_trace(sub)
         spec = ClusterSpec(num_hservers=2, num_sservers=2)
-        pipe = MHAPipeline(spec, gap=gap, spatial=spatial, k=k, n_jobs=1)
+        pipe = RecordPipeline(spec, gap=gap, spatial=spatial, k=k, n_jobs=1)
         drt_ref, drt_twin = DRT(), DRT()
         ref_plan, ref_grouping, ref_names, ref_tasks = pipe.plan_file(
             "f", sub, drt_ref

@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.core import extract_features, normalized_distances
-from repro.tracing import Trace, TraceRecord
+from repro.core import extract_features_columnar, normalized_distances
+from repro.tracing import ColumnarTrace, Trace, TraceRecord
 
 
 def rec(offset, size, ts, rank=0):
     return TraceRecord(offset=offset, timestamp=ts, rank=rank, size=size)
 
 
+def features_of(trace):
+    return extract_features_columnar(ColumnarTrace.from_trace(trace))
+
+
 class TestExtractFeatures:
     def test_size_and_concurrency_columns(self):
         t = Trace([rec(0, 100, 0.0), rec(200, 300, 0.0, rank=1)])
-        fs = extract_features(t)
+        fs = features_of(t)
         assert fs.points.shape == (2, 2)
         assert list(fs.points[:, 0]) == [100, 300]
         assert list(fs.points[:, 1]) == [2, 2]  # same burst
@@ -24,31 +28,31 @@ class TestExtractFeatures:
             [rec(0, 100, 0.0)]
             + [rec(100 * i, 100, 10.0, rank=i) for i in range(1, 5)]
         )
-        fs = extract_features(t)
+        fs = features_of(t)
         assert fs.points[0, 1] == 1
         assert all(fs.points[i, 1] == 4 for i in range(1, 5))
 
     def test_empty_trace(self):
-        fs = extract_features(Trace([]))
+        fs = features_of(Trace([]))
         assert len(fs) == 0
         assert list(fs.spread) == [1.0, 1.0]
 
     def test_constant_axis_spread_is_one(self):
         t = Trace([rec(0, 100, 0.0), rec(200, 100, 0.0, rank=1)])
-        fs = extract_features(t)
+        fs = features_of(t)
         assert fs.spread[0] == 1.0  # constant size axis
         assert fs.spread[1] == 1.0  # constant concurrency axis
 
     def test_spread_is_max_minus_min(self):
         t = Trace([rec(0, 100, 0.0), rec(200, 500, 10.0)])
-        fs = extract_features(t)
+        fs = features_of(t)
         assert fs.spread[0] == 400
 
 
 class TestNormalizedDistances:
     def test_eq1_shape(self):
         t = Trace([rec(0, 100, 0.0), rec(200, 500, 10.0)])
-        fs = extract_features(t)
+        fs = features_of(t)
         centers = np.array([[100.0, 1.0], [500.0, 1.0]])
         d = normalized_distances(fs, centers)
         assert d.shape == (2, 2)
@@ -69,7 +73,7 @@ class TestNormalizedDistances:
 
     def test_bad_center_shape(self):
         t = Trace([rec(0, 100, 0.0)])
-        fs = extract_features(t)
+        fs = features_of(t)
         with pytest.raises(ValueError):
             normalized_distances(fs, np.zeros((2, 3)))
 

@@ -1,14 +1,18 @@
 """Integration tests for the five-phase MHA pipeline."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
-from repro.core import MHAPipeline, OnlinePipeline
+from repro.core import MHAPipeline
 from repro.core.pipeline import identity_redirector
 from repro.exceptions import ConfigurationError
 from repro.layouts import check_tiling
-from repro.tracing import Trace, TraceRecord
+from repro.tracing import ColumnarTrace, Trace, TraceRecord
 from repro.units import KiB
+from tests.oracles.pipeline import RecordPipeline
 
 
 def rec(offset, size, ts, rank=0, op="write", file="f"):
@@ -124,23 +128,64 @@ class TestIdentityRedirector:
         assert redirector.stats.fallthrough_extents == 0
 
 
-class TestOnlinePipeline:
-    def test_replans_per_window(self, spec):
-        online = OnlinePipeline(MHAPipeline(spec, seed=0), window=16)
-        trace = mixed_trace(loops=4, procs=2)
-        plans = 0
-        for record in trace:
-            if online.observe(record) is not None:
-                plans += 1
-        assert plans == len(trace) // 16
-        assert online.replans == plans
-        assert online.plan is not None
 
-    def test_no_plan_before_first_window(self, spec):
-        online = OnlinePipeline(MHAPipeline(spec, seed=0), window=100)
-        assert online.observe(rec(0, 1024, 0.0)) is None
-        assert online.plan is None
+# rows of (offset, size, timestamp, rank, op, file, emit twice?) with
+# tie-heavy timestamps and duplicate records, the inputs where the
+# record path's dict-keyed per-group values collapse
+_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=48),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([0.0, 0.25, 1.0, 5.0]),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from(["read", "write"]),
+        st.sampled_from(["a", "b", "c"]),
+        st.booleans(),
+    ),
+    max_size=24,
+)
 
-    def test_invalid_window(self, spec):
-        with pytest.raises(ConfigurationError):
-            OnlinePipeline(MHAPipeline(spec), window=0)
+
+def _plan_summary(plan):
+    """Every observable of a plan, in comparable form."""
+    return (
+        list(plan.drt),
+        list(plan.rst),
+        {name: (d.pair, d.cost) for name, d in plan.decisions.items()},
+        {
+            file: [(r.name, r.size, r.requests) for r in rp.regions]
+            for file, rp in plan.reorder_plans.items()
+        },
+        {file: rp.migrated_bytes for file, rp in plan.reorder_plans.items()},
+        {file: g.labels.tolist() for file, g in plan.groupings.items()},
+        list(plan.original_layouts),
+        sorted(plan.region_layouts),
+    )
+
+
+class TestRecordReference:
+    """``MHAPipeline.plan`` equals the record-path reference planner."""
+
+    @given(rows=_rows, k=st.sampled_from([None, 1, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_plan_matches_record_pipeline(self, rows, k):
+        records = []
+        for off, size, ts, rank, op, file, dup in rows:
+            record = rec(off * 16 * KiB, size * 16 * KiB, ts, rank, op, file)
+            records.extend([record, record] if dup else [record])
+        trace = Trace(records)
+        spec = ClusterSpec(num_hservers=2, num_sservers=2)
+        kwargs = dict(k=k, seed=3, n_jobs=1, max_eval_requests=64)
+        want = _plan_summary(RecordPipeline(spec, **kwargs).plan(trace))
+        assert _plan_summary(MHAPipeline(spec, **kwargs).plan(trace)) == want
+        columnar = ColumnarTrace.from_trace(trace)
+        assert _plan_summary(MHAPipeline(spec, **kwargs).plan(columnar)) == want
+
+    def test_mixed_trace(self, spec):
+        trace = mixed_trace(loops=3, procs=3)
+        want = RecordPipeline(spec, seed=1).plan(trace)
+        got = MHAPipeline(spec, seed=1).plan(trace)
+        assert _plan_summary(got) == _plan_summary(want)
+        assert np.array_equal(
+            got.groupings["f"].centers, want.groupings["f"].centers
+        )

@@ -1,11 +1,17 @@
 """Tests for the Data Reorganizer (regions + DRT construction)."""
 
+import numpy as np
 import pytest
 
-from repro.core import group_requests, reorganize
-from repro.core.features import extract_features
+from repro.core import extract_features_columnar, group_requests, reorganize_arrays
 from repro.exceptions import ConfigurationError
-from repro.tracing import Trace, TraceRecord, burst_ids_of, concurrency_of
+from repro.tracing import (
+    ColumnarTrace,
+    Trace,
+    TraceRecord,
+    burst_ids_columnar,
+    concurrency_columnar,
+)
 
 
 def rec(offset, size, ts=0.0, rank=0, op="write"):
@@ -14,11 +20,15 @@ def rec(offset, size, ts=0.0, rank=0, op="write"):
 
 def build(records, k=2, seed=0):
     trace = Trace(records).sorted_by_offset()
-    features = extract_features(trace)
-    grouping = group_requests(features, k=k, seed=seed)
-    conc = concurrency_of(trace)
-    bursts = burst_ids_of(trace)
-    return trace, grouping, reorganize(trace, grouping, conc, bursts=bursts)
+    col = ColumnarTrace.from_trace(trace)
+    grouping = group_requests(extract_features_columnar(col), k=k, seed=seed)
+    conc = concurrency_columnar(col)
+    bursts = burst_ids_columnar(col)
+    return trace, grouping, reorganize_arrays(col, grouping, conc, bursts=bursts)
+
+
+def no_concurrency(trace):
+    return np.ones(len(trace), dtype=np.int64)
 
 
 class TestRegions:
@@ -96,19 +106,18 @@ class TestRegions:
 
 class TestValidation:
     def test_label_count_mismatch(self):
-        trace = Trace([rec(0, 100)])
-        features = extract_features(Trace([rec(0, 100), rec(200, 100)]))
-        grouping = group_requests(features, k=1)
+        trace = ColumnarTrace.from_trace(Trace([rec(0, 100)]))
+        two = ColumnarTrace.from_trace(Trace([rec(0, 100), rec(200, 100)]))
+        grouping = group_requests(extract_features_columnar(two), k=1)
         with pytest.raises(ConfigurationError):
-            reorganize(trace, grouping, {})
+            reorganize_arrays(trace, grouping, no_concurrency(trace))
 
     def test_multi_file_trace_rejected(self):
         records = [
             TraceRecord(offset=0, timestamp=0.0, rank=0, size=10, file="a"),
             TraceRecord(offset=0, timestamp=1.0, rank=0, size=10, file="b"),
         ]
-        trace = Trace(records)
-        features = extract_features(trace)
-        grouping = group_requests(features, k=1)
+        trace = ColumnarTrace.from_trace(Trace(records))
+        grouping = group_requests(extract_features_columnar(trace), k=1)
         with pytest.raises(ConfigurationError):
-            reorganize(trace, grouping, {})
+            reorganize_arrays(trace, grouping, no_concurrency(trace))

@@ -12,6 +12,7 @@ from repro.online import (
 from repro.tracing import Trace
 from repro.units import KiB, MiB
 from repro.workloads import IORWorkload
+from tests.oracles.pipeline import RecordPipeline
 
 
 @pytest.fixture
@@ -66,6 +67,32 @@ class TestIncrementalReplanner:
             assert outcome.plan.redirector.map_request(
                 record.file, record.offset, record.size
             ) == offline.redirector.map_request(record.file, record.offset, record.size)
+
+    def test_rebuild_matches_record_reference(self, spec, pipeline):
+        """The columnar rebuild of a drifted file equals the record-path
+        reference planner on the same window, duplicate records
+        included."""
+        old_plan = pipeline.plan(ior_trace([32 * KiB]))
+        window = ior_trace([128 * KiB, 512 * KiB], seed=3, total=8 * MiB)
+        window = Trace(list(window) + list(window)[:8])
+        report = drift_report_for(pipeline, old_plan, window)
+        assert report.drifted_files == ["f"]
+
+        outcome = IncrementalReplanner(pipeline, reuse_tolerance=0.0).replan(
+            window, old_plan, report
+        )
+        want = RecordPipeline(spec, seed=0).plan(window)
+        assert list(outcome.plan.drt.entries_for("f")) == list(
+            want.drt.entries_for("f")
+        )
+        got_regions = outcome.plan.reorder_plans["f"].regions
+        want_regions = want.reorder_plans["f"].regions
+        assert [(r.name, r.size, r.requests) for r in got_regions] == [
+            (r.name, r.size, r.requests) for r in want_regions
+        ]
+        assert outcome.searched_regions == [r.name for r in want_regions]
+        for name in outcome.searched_regions:
+            assert outcome.plan.decisions[name] == want.decisions[name]
 
     def test_undrifted_files_carried_verbatim(self, pipeline):
         steady = ior_trace([32 * KiB], file="steady.dat")

@@ -4,7 +4,7 @@ The record-walking form of
 :meth:`repro.schemes.aal.AALScheme.stripe_for`: it scores one candidate
 stripe at a time through the scalar
 :func:`~repro.core.cost_model.burst_costs`, with burst ids from the
-record-path :func:`~repro.tracing.analysis.burst_ids_of`, walking the
+record-path :func:`~tests.oracles.analysis.burst_ids_of`, walking the
 candidates upward and keeping one only when it is strictly cheaper.
 """
 
@@ -18,8 +18,9 @@ from repro.core.cost_model import burst_costs
 from repro.determinism import SeedDomain, derive_rng
 from repro.schemes.aal import AALScheme
 from repro.schemes.default import DEFAULT_STRIPE
-from repro.tracing.analysis import burst_ids_of
 from repro.tracing.record import Trace
+
+from .analysis import burst_ids_of
 
 __all__ = ["aal_stripe_reference"]
 
@@ -38,7 +39,10 @@ def aal_stripe_reference(scheme: AALScheme, spec: ClusterSpec, trace: Trace) -> 
         rng = derive_rng(SeedDomain.SAMPLE, base=DEFAULT_SAMPLE_SEED)
         pick = rng.choice(len(trace), size=scheme.max_eval_requests, replace=False)
         offsets, lengths, is_read, bursts = (
-            offsets[pick], lengths[pick], is_read[pick], bursts[pick],
+            offsets[pick],
+            lengths[pick],
+            is_read[pick],
+            bursts[pick],
         )
     best_stripe, best_cost = DEFAULT_STRIPE, np.inf
     upper = max(scheme.step, int(lengths.mean()))

@@ -56,6 +56,11 @@ def _trace(rows):
     return Trace(records)
 
 
+def _by_file(trace):
+    """``(file, sub-trace)`` pairs in first-appearance order."""
+    return [(file, trace.for_file(file)) for file in trace.files()]
+
+
 class TestAALMatchesScalarReference:
     @given(
         rows=_rows,
@@ -79,7 +84,7 @@ class TestAALMatchesScalarReference:
         scheme = AALScheme(max_eval_requests=max_eval)
         want = {
             file: aal_stripe_reference(scheme, spec, sub)
-            for file, sub in trace.partition_by_file().items()
+            for file, sub in _by_file(trace)
         }
         scheme.build(spec, ColumnarTrace.from_trace(trace))
         assert scheme.decisions == want
@@ -112,7 +117,7 @@ def _region_runs(view, trace):
         file: view.merged_runs(
             file, [r.offset for r in sub], [r.size for r in sub]
         )
-        for file, sub in trace.partition_by_file().items()
+        for file, sub in _by_file(trace)
     }
 
 

@@ -19,7 +19,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SRC = "src/repro/online/example.py"  # in RL001 scope (online/) and src scope
 CORE = "src/repro/core/example.py"  # src scope, not RL001 scope
-COST = "src/repro/core/cost_model.py"  # RL004 scope
+COST = "src/repro/core/cost_model.py"  # RL301 scope
 TEST = "tests/core/test_example.py"  # test scope
 
 
@@ -180,34 +180,37 @@ class TestRL003:
         assert "RL003" in rules_of(src, TEST)
 
 
-# -- RL004 cost-model purity ----------------------------------------------
+# -- RL004 fixtures, enforced by RL301 --------------------------------------
 
 
 class TestRL004:
+    """The fixtures of the retired RL004 rule (one function body at a
+    time); RL301's transitive Eq. 2 purity check enforces every one."""
+
     def test_argument_attribute_write_flagged(self):
         src = "def f(plan):\n    plan.cost = 1.0\n"
-        assert "RL004" in rules_of(src, COST)
+        assert "RL301" in rules_of(src, COST)
 
     def test_argument_item_write_flagged(self):
         src = "def f(table):\n    table['k'] = 1\n"
-        assert "RL004" in rules_of(src, COST)
+        assert "RL301" in rules_of(src, COST)
 
     def test_global_statement_flagged(self):
         src = "_N = 0\n\ndef f():\n    global _N\n    _N += 1\n"
-        assert "RL004" in rules_of(src, COST)
+        assert "RL301" in rules_of(src, COST)
 
     def test_io_call_flagged(self):
         src = "def f(x):\n    print(x)\n    return x\n"
-        assert "RL004" in rules_of(src, COST)
+        assert "RL301" in rules_of(src, COST)
 
     def test_function_level_import_flagged(self):
         # the pre-fix placer.py pattern
         src = "def f(spec):\n    from .params import CostModelParams\n    return 0\n"
-        assert "RL004" in rules_of(src, "src/repro/core/placer.py")
+        assert "RL301" in rules_of(src, "src/repro/core/placer.py")
 
     def test_mutator_on_argument_flagged(self):
         src = "def f(rows):\n    rows.append(1)\n    return rows\n"
-        assert "RL004" in rules_of(src, COST)
+        assert "RL301" in rules_of(src, COST)
 
     def test_pure_function_ok(self):
         src = (
@@ -216,7 +219,7 @@ class TestRL004:
             "    local.append(2 * x)\n"
             "    return sum(local) * params.t\n"
         )
-        assert "RL004" not in rules_of(src, COST)
+        assert "RL301" not in rules_of(src, COST)
 
     def test_self_state_ok(self):
         # stateful controllers may keep internal state
@@ -226,11 +229,11 @@ class TestRL004:
             "        self.evaluations = getattr(self, 'evaluations', 0) + 1\n"
             "        return plan\n"
         )
-        assert "RL004" not in rules_of(src, "src/repro/online/gate.py")
+        assert "RL301" not in rules_of(src, "src/repro/online/gate.py")
 
     def test_out_of_scope_module_ignored(self):
         src = "def f(plan):\n    plan.cost = 1.0\n"
-        assert "RL004" not in rules_of(src, "src/repro/pfs/storage.py")
+        assert "RL301" not in rules_of(src, "src/repro/pfs/storage.py")
 
 
 # -- RL005 float equality -------------------------------------------------
@@ -638,12 +641,14 @@ class TestCLI:
         assert cli_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in (
-            "RL001", "RL002", "RL003", "RL004", "RL005",
+            "RL001", "RL002", "RL003", "RL005",
             "RL101", "RL102", "RL103", "RL104",
             "RL201", "RL202", "RL203",
             "RL211", "RL212", "RL213",
+            "RL301", "RL302", "RL303", "RL304", "RL305",
         ):
             assert rule in out
+        assert "RL004" not in out  # subsumed by RL301
 
     def bad_file(self, tmp_path):
         bad = tmp_path / "src" / "repro" / "online" / "bad.py"

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.tracing import (
+    ColumnarTrace,
     Trace,
     TraceRecord,
     burst_clusters,
-    burst_ids_of,
+    burst_ids_columnar,
     concurrency_of,
     split_phases,
     trace_statistics,
@@ -79,8 +80,8 @@ class TestConcurrency:
 class TestBurstIds:
     def test_ids_dense_and_grouped(self):
         t = Trace([rec(i * 100, float(i // 2) * 10, rank=i % 2) for i in range(6)])
-        ids = burst_ids_of(t)
-        assert sorted(set(ids.values())) == [0, 1, 2]
+        ids = burst_ids_columnar(ColumnarTrace.from_trace(t))
+        assert ids.tolist() == [0, 0, 1, 1, 2, 2]
 
     def test_clusters_cover_trace(self):
         t = Trace([rec(i * 100, 0.0, rank=i) for i in range(5)])
@@ -89,12 +90,12 @@ class TestBurstIds:
 
     def test_ids_match_concurrency(self):
         t = Trace([rec(i * 100, float(i % 3), rank=i) for i in range(9)])
-        ids = burst_ids_of(t, gap=0.5)
+        ids = burst_ids_columnar(ColumnarTrace.from_trace(t), gap=0.5)
         conc = concurrency_of(t, gap=0.5)
         from collections import Counter
 
-        sizes = Counter(ids.values())
-        for record, burst in ids.items():
+        sizes = Counter(ids.tolist())
+        for record, burst in zip(t, ids.tolist()):
             assert conc[record] == sizes[burst]
 
 

@@ -10,11 +10,10 @@ columnar digest stability of the serve and chaos harnesses.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.features import extract_features, extract_features_columnar
+from repro.core.features import extract_features_columnar
 from repro.tracing import (
     ColumnarTrace,
     Trace,
@@ -26,8 +25,10 @@ from repro.tracing import (
     save_trace_columnar,
     split_phases_columnar,
 )
-from repro.tracing.analysis import burst_ids_of, concurrency_of, split_phases
+from repro.tracing.analysis import concurrency_of, split_phases
 from repro.units import KiB
+from tests.oracles.analysis import burst_ids_of
+from tests.oracles.features import extract_features
 
 # ---------------------------------------------------------------------------
 # strategies: small traces with deliberate ties, duplicates, multi-file
@@ -91,7 +92,7 @@ class TestContainerParity:
     @settings(max_examples=50, deadline=None)
     def test_file_partition_matches_record_partition(self, raw):
         trace, col = build_traces(raw)
-        record_parts = trace.partition_by_file()
+        record_parts = {f: trace.for_file(f) for f in trace.files()}
         col_parts = col.file_partition()
         assert list(col_parts) == list(record_parts)
         for file, indices in col_parts.items():

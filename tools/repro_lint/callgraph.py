@@ -13,8 +13,8 @@ The lattice is the one documented in :mod:`repro.effects` — ``PURE``
 
 plus one *internal* pseudo-effect, ``MUTATES_STATE``, that never appears
 in a public summary: a method writing through ``self``/``cls`` is not a
-mutation of the method's own contract (the RL004 precedent — controllers
-may keep internal state), but it *is* a mutation of the receiver, so at
+mutation of the method's own contract (stateful controllers may keep
+internal state), but it *is* a mutation of the receiver, so at
 every call site it is translated by receiver kind — ``obj.m()`` where
 ``obj`` is a caller parameter becomes ``MUTATES_ARG`` in the caller,
 where ``obj`` is a module global becomes ``MUTATES_GLOBAL``, where
@@ -95,8 +95,8 @@ EFFECT_NAMES: tuple[str, ...] = (
 READS_CONFIG, READS_ENV, RNG, TIME, MUTATES_ARG, MUTATES_GLOBAL, IO = EFFECT_NAMES
 
 #: internal pseudo-effect: mutates *internal state* of an object
-#: reachable from self or an argument (caches, counters, EWMAs — the
-#: RL004 "controllers may keep internal state" exemption).  Translated
+#: reachable from self or an argument (caches, counters, EWMAs that
+#: stateful controllers may keep).  Translated
 #: at call edges: it hardens to MUTATES_GLOBAL when the receiver is a
 #: module-level singleton, keeps propagating through param/self
 #: receivers, and is dropped for locally-constructed objects.  Never

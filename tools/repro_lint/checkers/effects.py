@@ -4,11 +4,11 @@ These rules query the interprocedural call graph
 (:mod:`tools.repro_lint.callgraph`): every function in the linted files
 gets an inferred effect summary, propagated to fixpoint over resolved
 call edges, and the rules judge the *transitive* summary where the
-older RL004/RL003/RL203 rules could only inspect one function body.
+older RL003/RL203 rules can only inspect one function body.
 
 * **RL301** — Eq.2 purity, transitively: functions in the cost-model /
-  determination / placement / gate modules (the RL004 scope plus
-  ``core/cost_model.py``) must infer to ``PURE`` modulo
+  determination / placement / gate modules (``_EQ2_MODULE_SUFFIXES``)
+  must infer to ``PURE`` modulo
   ``READS_CONFIG``, and must be *proven* — an unresolved call anywhere
   in their call tree is itself a finding, because an unproven gate is
   an uncertifiable gate.
@@ -37,8 +37,8 @@ older RL004/RL003/RL203 rules could only inspect one function body.
   contract names ``fallback_flags`` (the twin may consult config to
   decide whether to fall back).
 
-Internal-state mutation (``MUTATES_STATE``: caches, counters — the
-RL004 "controllers may keep internal state" concession) is stripped
+Internal-state mutation (``MUTATES_STATE``: caches, counters —
+stateful controllers may keep internal state) is stripped
 before any rule fires.  Suppressions use the standard
 ``# repro-lint: disable=RL30x`` comment on the flagged line.
 """
@@ -63,10 +63,17 @@ from ..callgraph import (
 )
 from ..diagnostics import Diagnostic
 from ..registry import ProjectChecker, register
-from .purity import _PURE_MODULE_SUFFIXES
 
-#: RL301 scope: the RL004 module list plus the cost model itself
-_EQ2_MODULE_SUFFIXES = _PURE_MODULE_SUFFIXES + ("repro/core/cost_model.py",)
+#: RL301 scope: path suffixes of the modules on the Eq. 2 evaluation
+#: path (cost model, determination, placement, the online gate)
+_EQ2_MODULE_SUFFIXES = (
+    "repro/core/params.py",
+    "repro/core/features.py",
+    "repro/core/determinator.py",
+    "repro/core/placer.py",
+    "repro/online/gate.py",
+    "repro/core/cost_model.py",
+)
 
 #: effects Eq.2 functions may keep (config is a deterministic ambient
 #: input the twin rules force both paths to mirror)

@@ -19,12 +19,13 @@ declarations at the AST level, across modules:
   registered contract.
 * **RL104** — contract well-formedness: ``twin_of`` arguments must be
   literal constants and the reference spec must resolve to a real
-  definition (in the linted files, or on disk under ``src/``).
+  definition (in the linted files, or on disk under ``src/`` or
+  ``tests/oracles/``, where references that only tests run live).
 
 These are *project* rules: every file is collected first and the pairs
 are resolved at the end of the run, so argument order never matters and
-single-file (pre-commit) runs fall back to resolving references from
-disk.
+partial runs (one file, or ``src`` without ``tests``) fall back to
+resolving references from disk.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ _TWIN_PREFIXES = ("batch_",)
 _TWIN_KINDS = ("bit_identical", "reduction")
 
 _CACHE_KEY = "twin_contracts:file_info"
+
+#: test-only references live here; twin specs may name them as
+#: ``tests.oracles.<module>:<qualname>``
+_ORACLE_DIR = ("tests", "oracles")
 
 
 @dataclass
@@ -92,13 +97,18 @@ class FunctionInfo:
 
 
 def _module_name(posix_path: str) -> str:
-    """Dotted module for a source path, e.g. ``src/repro/pfs/flat.py``
-    -> ``repro.pfs.flat``; empty when the path has no ``src`` segment."""
+    """Dotted module for a source or oracle path:
+    ``src/repro/pfs/flat.py`` -> ``repro.pfs.flat`` and
+    ``tests/oracles/pipeline.py`` -> ``tests.oracles.pipeline``; empty
+    for any other path."""
     parts = posix_path.split("/")
-    if "src" not in parts:
+    if "src" in parts:
+        idx = len(parts) - 1 - parts[::-1].index("src")
+        mod_parts = parts[idx + 1 :]
+    elif parts[-3:-1] == list(_ORACLE_DIR):
+        mod_parts = parts[-3:]
+    else:
         return ""
-    idx = len(parts) - 1 - parts[::-1].index("src")
-    mod_parts = parts[idx + 1 :]
     if not mod_parts or not mod_parts[-1].endswith(".py"):
         return ""
     mod_parts[-1] = mod_parts[-1][: -len(".py")]
@@ -263,7 +273,7 @@ def _file_info(ctx) -> list[FunctionInfo]:
 
 class _Index:
     """Resolves ``module:qualname`` specs against collected files, with a
-    disk fallback for single-file runs."""
+    disk fallback (``src/`` and ``tests/oracles/``) for partial runs."""
 
     def __init__(self, infos: list[FunctionInfo]) -> None:
         self._by_spec: dict[str, FunctionInfo] = {}
@@ -288,7 +298,11 @@ class _Index:
             return cached
         defs: dict[str, FunctionInfo] = {}
         rel = module.replace(".", "/")
-        for candidate in (f"src/{rel}.py", f"src/{rel}/__init__.py"):
+        if module.startswith(".".join(_ORACLE_DIR) + "."):
+            candidates: tuple[str, ...] = (f"{rel}.py",)
+        else:
+            candidates = (f"src/{rel}.py", f"src/{rel}/__init__.py")
+        for candidate in candidates:
             if not os.path.isfile(candidate):
                 continue
             try:
@@ -519,5 +533,6 @@ class TwinContractWellFormed(_TwinRule):
                 yield self.at(
                     twin, line, col,
                     f"twin reference {contract.reference!r} does not resolve "
-                    "to a definition (checked linted files and src/ on disk)",
+                    "to a definition (checked linted files, src/ and "
+                    "tests/oracles/ on disk)",
                 )

@@ -26,8 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Domain-specific static analysis for the MHA reproduction: "
-            "determinism, units discipline, parallel safety, cost-model "
-            "purity, float equality, twin contracts."
+            "determinism, units discipline, parallel safety, float "
+            "equality, twin contracts, effects and Eq. 2 purity."
         ),
     )
     parser.add_argument(
@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         metavar="RULES",
-        help="comma-separated rule ids to run (e.g. RL001,RL004)",
+        help="comma-separated rule ids to run (e.g. RL001,RL301)",
     )
     parser.add_argument(
         "--list-rules",
