@@ -15,10 +15,10 @@ optimizers; its handicaps are the uniform stripe, the homogeneous
 server model, and (like HARL) the average-request-size search bound.
 The winning stripe is applied identically to all servers.
 
-The search reads the trace's columns and scores every candidate stripe
-in chunked :func:`~repro.core.cost_model.burst_costs_grid` passes, the
-kernel and memory budget MHA and HARL search with; ``np.argmin`` keeps
-the first (smallest) of tied stripes.
+The search reads the trace's columns and runs the exact bounded search
+MHA and HARL use (:func:`~repro.core.determinator.bounded_burst_argmin`):
+the same kernel and memory budget, and the first (smallest) of tied
+stripes wins.
 
 Determinism contract: a build is a pure function of ``(spec, trace)``.
 Traces longer than ``max_eval_requests`` are subsampled with
@@ -33,8 +33,7 @@ import numpy as np
 
 from ..cluster import ClusterSpec
 from ..config import DEFAULT_SAMPLE_SEED
-from ..core.cost_model import burst_costs_grid
-from ..core.determinator import GRID_CHUNK_ELEMS
+from ..core.determinator import bounded_burst_argmin
 from ..core.params import CostModelParams
 from ..determinism import SeedDomain, derive_rng
 from ..layouts.base import Layout
@@ -94,14 +93,10 @@ class AALScheme(Scheme):
         # search by the average request size (§III-F)
         upper = max(self.step, int(lengths.mean()))
         stripes = np.arange(self.step, upper + self.step, self.step, dtype=np.int64)
-        costs = np.empty(stripes.size, dtype=np.float64)
-        chunk = max(1, GRID_CHUNK_ELEMS // (offsets.size * params.M))
-        for lo in range(0, stripes.size, chunk):
-            part = stripes[lo : lo + chunk]
-            costs[lo : lo + chunk] = burst_costs_grid(
-                params, offsets, lengths, is_read, bursts, part, np.zeros_like(part)
-            ).sum(axis=1)
-        return int(stripes[np.argmin(costs)])
+        idx, _, _ = bounded_burst_argmin(
+            params, offsets, lengths, is_read, bursts, stripes, np.zeros_like(stripes)
+        )
+        return int(stripes[idx])
 
     def build(self, spec: ClusterSpec, trace: Trace | ColumnarTrace) -> LayoutView:
         col = as_columnar_trace(trace)
